@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core import MovementScheduler, StagingClient
 from repro.machine import Machine, TESTING_TINY
-from repro.mpi import World
+from repro.mpi import WireSize, World
 from repro.sim import Engine
 from repro.adios import GroupDef, OutputStep, VarDef, VarKind
 
@@ -47,7 +47,7 @@ def run_scenario(scheduled: bool) -> dict:
         )
         yield from client.write_step(comm, step)
         total_comm = 0.0
-        payload = np.zeros(1_000_000)  # 8 MB collectives
+        payload = WireSize(8_000_000)  # 8 MB collectives
         for _ in range(10):
             scheduler.enter_comm_phase(comm.node_id)
             t0 = comm.env.now

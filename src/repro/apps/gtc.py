@@ -29,6 +29,7 @@ from repro.core.placement import InComputeNodeRunner
 from repro.core.scheduler import MovementScheduler
 from repro.machine.machine import Machine
 from repro.mpi.communicator import Communicator
+from repro.mpi.datasize import WireSize
 from repro.mpi.world import World
 
 __all__ = ["GTC_GROUP", "GTCConfig", "GTCMetrics", "GTCApplication", "gtc_particles"]
@@ -186,8 +187,9 @@ class GTCApplication:
         env = comm.env
         m = GTCMetrics()
         start = env.now
-        payload = np.zeros(
-            max(int(cfg.comm_payload_logical_bytes / self.world.wire_scale / 8), 1)
+        # Only the wire time matters: no rank reads the reduced values.
+        payload = WireSize(
+            8 * max(int(cfg.comm_payload_logical_bytes / self.world.wire_scale / 8), 1)
         )
         dump = 0
         total_iterations = cfg.ndumps * cfg.iterations_per_dump

@@ -30,6 +30,7 @@ from repro.core.placement import InComputeNodeRunner
 from repro.core.scheduler import MovementScheduler
 from repro.machine.machine import Machine
 from repro.mpi.communicator import Communicator
+from repro.mpi.datasize import WireSize
 from repro.mpi.ops import SUM
 from repro.mpi.world import World
 
@@ -189,8 +190,9 @@ class Pixie3DApplication:
         env = comm.env
         m = Pixie3DMetrics()
         start = env.now
-        payload = np.zeros(
-            max(int(cfg.reduce_payload_logical_bytes / self.world.wire_scale / 8), 1)
+        # Only the wire time matters: no rank reads the reduced values.
+        payload = WireSize(
+            8 * max(int(cfg.reduce_payload_logical_bytes / self.world.wire_scale / 8), 1)
         )
         dump = 0
         for it in range(cfg.ndumps * cfg.iterations_per_dump):

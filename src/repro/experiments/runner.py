@@ -10,6 +10,7 @@ representative ranks and return a structured result.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
@@ -128,6 +129,15 @@ def _scaled_fs(spec: MachineSpec, rep_factor: float):
     )
 
 
+def _seed_kwargs(seed: Optional[int]) -> dict:
+    """Config keywords for *seed*; None keeps the app's default seed."""
+    if seed is None:
+        return {}
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return {"seed": int(seed)}
+
+
 def _gtc_sizing(cores: int, rep_ranks: int) -> tuple[int, int, int, int]:
     """(procs, staging_procs, R, R_s) for a GTC scale."""
     if cores % 8:
@@ -160,6 +170,7 @@ def run_gtc(
     tie_breaker: Optional[Any] = None,
     schedule_trace: Optional[Any] = None,
     check: Optional[Any] = None,
+    seed: Optional[int] = None,
 ) -> GTCRunResult:
     """One GTC run at *cores* under the chosen operator *placement*.
 
@@ -184,7 +195,11 @@ def run_gtc(
     order, a :class:`~repro.check.ScheduleTrace` records the executed
     schedule, and a :class:`~repro.check.Checker` audits the pipeline's
     conservation invariants.  All default off (byte-identical run).
+
+    ``seed`` seeds the synthetic particle data; None keeps
+    :class:`~repro.apps.gtc.GTCConfig`'s default.
     """
+    seed_kw = _seed_kwargs(seed)
     if placement not in ("staging", "incompute", "none"):
         raise ValueError(f"bad placement {placement!r}")
     spec = spec or JAGUAR_XT5
@@ -210,6 +225,7 @@ def run_gtc(
         iterations_per_dump=iterations_per_dump,
         ndumps=ndumps,
         compute_seconds_per_iteration=compute_seconds_per_iteration,
+        **seed_kw,
     )
     app_world = World(
         eng,
@@ -341,6 +357,7 @@ def run_pixie3d(
     fs_interference: bool = True,
     staging_steal: float = 0.008,
     obs: Optional[Any] = None,
+    seed: Optional[int] = None,
 ) -> Pixie3DRunResult:
     """One Pixie3D run at *cores* with layout reorg in *placement*.
 
@@ -348,11 +365,14 @@ def run_pixie3d(
     array-merge operator reorganises it; ``"incompute"`` writes
     unmerged BP directly with synchronous MPI-IO.  ``obs`` binds an
     :class:`repro.obs.Observability` sink to the run's engine.
+    ``seed`` seeds the synthetic fields; None keeps
+    :class:`~repro.apps.pixie3d.Pixie3DConfig`'s default.
     """
     from repro.adios.bp import BPWriter
     from repro.operators import ArrayMergeOperator
     from repro.apps.pixie3d import PIXIE3D_VARS
 
+    seed_kw = _seed_kwargs(seed)
     if placement not in ("staging", "incompute"):
         raise ValueError(f"bad placement {placement!r}")
     spec = spec or JAGUAR_XT4
@@ -378,6 +398,7 @@ def run_pixie3d(
         iterations_per_dump=iterations_per_dump,
         ndumps=ndumps,
         collective_rounds_per_iteration=collective_rounds,
+        **seed_kw,
     )
     # several ranks share a node (1 proc/core)
     rank_nodes = [i % machine.n_compute_nodes for i in range(r)]

@@ -29,7 +29,7 @@ from repro.mpi.ops import MAX, MIN, PROD, SUM, Op
 from repro.mpi.request import Request
 from repro.mpi.communicator import ANY_SOURCE, ANY_TAG, Communicator
 from repro.mpi.world import World
-from repro.mpi.datasize import nbytes_of
+from repro.mpi.datasize import WireSize, nbytes_of
 
 __all__ = [
     "ANY_SOURCE",
@@ -42,5 +42,6 @@ __all__ = [
     "Request",
     "SUM",
     "World",
+    "WireSize",
     "nbytes_of",
 ]

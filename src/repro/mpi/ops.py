@@ -2,7 +2,8 @@
 
 Each :class:`Op` combines two values elementwise; values may be Python
 scalars or numpy arrays (mirroring mpi4py's lowercase API, which
-reduces arbitrary Python objects).
+reduces arbitrary Python objects).  A :class:`~repro.mpi.datasize.WireSize`
+combines only with a WireSize of the same size and yields that size.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 import numpy as np
+
+from repro.mpi.datasize import WireSize
 
 __all__ = ["Op", "SUM", "MIN", "MAX", "PROD"]
 
@@ -22,6 +25,13 @@ class Op:
         self._fn = fn
 
     def __call__(self, a: Any, b: Any) -> Any:
+        if isinstance(a, WireSize) or isinstance(b, WireSize):
+            if type(a) is type(b) and a == b:
+                return a
+            raise ValueError(
+                f"{self!r} cannot combine {_describe(a)} with {_describe(b)}: "
+                "a WireSize combines only with a WireSize of equal size"
+            )
         return self._fn(a, b)
 
     def reduce_all(self, values: Sequence[Any]) -> Any:
@@ -30,7 +40,7 @@ class Op:
             raise ValueError("cannot reduce an empty sequence")
         acc = values[0]
         for v in values[1:]:
-            acc = self._fn(acc, v)
+            acc = self(acc, v)
         return acc
 
     def __repr__(self) -> str:
@@ -45,3 +55,9 @@ MAX = Op("max", lambda a, b: np.maximum(a, b) if _arrayish(a, b) else max(a, b))
 
 def _arrayish(a: Any, b: Any) -> bool:
     return isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+
+
+def _describe(v: Any) -> str:
+    if isinstance(v, np.ndarray):
+        return f"ndarray(shape={v.shape}, dtype={v.dtype})"
+    return repr(v)

@@ -1,13 +1,18 @@
 """Tests for the experiment harness itself (fast configurations)."""
 
+import numpy as np
 import pytest
 
+from repro.apps import gtc as gtc_mod
+from repro.apps import pixie3d as pixie3d_mod
 from repro.experiments.report import (
     fmt_bytes,
     fmt_pct,
     fmt_seconds,
     format_table,
 )
+from repro.machine.network import Network
+from repro.mpi.ops import Op
 from repro.experiments.runner import (
     _gtc_sizing,
     _pixie_sizing,
@@ -120,6 +125,92 @@ def test_run_gtc_deterministic():
     assert a.staging_reports[0].latency == pytest.approx(
         b.staging_reports[0].latency
     )
+
+
+# Exact outputs of two small runs: result metrics, final simulated time
+# and interconnect bytes.  Any change to the timing model's inputs (such
+# as the collectives' wire sizes) shows up here as a mismatch.
+PINNED = {
+    "gtc": (
+        "GTCMetrics(compute=10.049999999999999, comm=0.005161875000002425, "
+        "io_blocking=0.020442392608696736, operations=0.0, "
+        "total=10.075604267608698)",
+        "31.164388641799412",
+        "8192016384.0",
+    ),
+    "pixie3d": (
+        "Pixie3DMetrics(compute=11.289599999999998, comm=0.10609799999999725, "
+        "io_blocking=0.00040584505660312686, operations=0.0, "
+        "total=11.396103845056599)",
+        "13.073662575832506",
+        "134234111.99999997",
+    ),
+}
+
+
+def _pinned_runs(monkeypatch):
+    """Run both pinned points; return their outputs and reduced operands."""
+    nets, operands = [], []
+    net_init, reduce_all = Network.__init__, Op.reduce_all
+
+    def init(self, *args, **kwargs):
+        net_init(self, *args, **kwargs)
+        nets.append(self)
+
+    def spy(self, values):
+        operands.extend(values)
+        return reduce_all(self, values)
+
+    monkeypatch.setattr(Network, "__init__", init)
+    monkeypatch.setattr(Op, "reduce_all", spy)
+    results = {
+        "gtc": run_gtc(512, "staging", "histogram", **FAST),
+        "pixie3d": run_pixie3d(256, "staging", ndumps=1, iterations_per_dump=2),
+    }
+    assert len(nets) == 2
+    out = {
+        name: (repr(r.metrics), repr(net.env.now), repr(net.total_bytes()))
+        for (name, r), net in zip(results.items(), nets)
+    }
+    return out, operands
+
+
+def test_run_outputs_pinned_and_no_array_reductions(monkeypatch):
+    out, operands = _pinned_runs(monkeypatch)
+    assert out == PINNED
+    assert operands, "the pinned runs must reduce something"
+    assert not any(isinstance(v, np.ndarray) for v in operands)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+def test_runs_reject_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed"):
+        run_gtc(512, "staging", "histogram", seed=seed, **FAST)
+    with pytest.raises(ValueError, match="seed"):
+        run_pixie3d(256, "staging", seed=seed)
+
+
+@pytest.mark.parametrize("seed, gtc_seed, pixie_seed", [(None, 42, 11), (5, 5, 5)])
+def test_runs_pass_seed_to_app(monkeypatch, seed, gtc_seed, pixie_seed):
+    seen = set()
+    particles, field = gtc_mod.gtc_particles, pixie3d_mod._smooth_field
+
+    def gtc_particles(*args, seed, **kwargs):
+        seen.add(("gtc", seed))
+        return particles(*args, seed=seed, **kwargs)
+
+    def smooth_field(rank, nprocs, n, var_index, step, seed):
+        seen.add(("pixie3d", seed))
+        return field(rank, nprocs, n, var_index, step, seed)
+
+    monkeypatch.setattr(gtc_mod, "gtc_particles", gtc_particles)
+    monkeypatch.setattr(pixie3d_mod, "_smooth_field", smooth_field)
+    run_gtc(512, "none", "sort", seed=seed, **FAST)
+    run_pixie3d(256, "incompute", ndumps=1, iterations_per_dump=1,
+                collective_rounds=1, seed=seed)
+    # GTC seeds ions with seed + 1.
+    assert seen == {("gtc", gtc_seed), ("gtc", gtc_seed + 1),
+                    ("pixie3d", pixie_seed)}
 
 
 # --------------------------------------------------------- run_pixie3d

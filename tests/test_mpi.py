@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.machine import Machine, Network, NetworkConfig, TorusTopology, TESTING_TINY
-from repro.mpi import MAX, MIN, SUM, World, nbytes_of
+from repro.mpi import MAX, MIN, PROD, SUM, WireSize, World, nbytes_of
 from repro.sim import Engine, SimulationError
 
 
@@ -344,3 +344,88 @@ def test_nbytes_of_basics():
     assert nbytes_of(None) == 0
     assert nbytes_of([np.zeros(2), np.zeros(3)]) >= 40
     assert nbytes_of({"a": 1}) > 8
+
+
+# ------------------------------------------------------------- WireSize
+def test_wire_size_is_immutable_size_only_payload():
+    w = WireSize(4096)
+    assert nbytes_of(w) == 4096.0
+    assert w == WireSize(4096) and hash(w) == hash(WireSize(4096))
+    with pytest.raises(AttributeError):
+        w.nbytes = 8
+    for bad in (-8, 8.0, True):
+        with pytest.raises(ValueError):
+            WireSize(bad)
+
+
+@pytest.mark.parametrize("op", [SUM, PROD, MIN, MAX])
+def test_ops_combine_equal_wire_sizes_to_that_size(op):
+    a, b = WireSize(64), WireSize(64)
+    assert op(a, b) is a
+    assert op.reduce_all([a, b, WireSize(64)]) == WireSize(64)
+
+
+@pytest.mark.parametrize("op", [SUM, PROD, MIN, MAX])
+@pytest.mark.parametrize("other", [np.zeros(8), 3.0, 7, WireSize(32)])
+def test_ops_reject_wire_size_mixed_with_another_operand(op, other):
+    w = WireSize(64)
+    for a, b in ((w, other), (other, w)):
+        with pytest.raises(ValueError, match="WireSize") as exc:
+            op(a, b)
+        msg = str(exc.value)
+        assert "WireSize(nbytes=64)" in msg
+        assert ("ndarray" if isinstance(other, np.ndarray) else repr(other)) in msg
+    with pytest.raises(ValueError, match="WireSize"):
+        op.reduce_all([w, w, other])
+
+
+def test_collectives_carry_wire_size():
+    eng, world = make_world(4)
+    got = {}
+
+    def main(comm):
+        w = WireSize(800)
+        got[("reduce", comm.rank)] = yield from comm.reduce(w, op=SUM, root=0)
+        got[("allreduce", comm.rank)] = yield from comm.allreduce(w, op=MAX)
+        got[("bcast", comm.rank)] = yield from comm.bcast(w, root=2)
+        got[("scan", comm.rank)] = yield from comm.scan(w, op=SUM)
+        got[("exscan", comm.rank)] = yield from comm.exscan(w, op=PROD)
+
+    world.spawn(main)
+    eng.run()
+    w = WireSize(800)
+    for r in range(4):
+        assert got[("reduce", r)] == (w if r == 0 else None)
+        assert got[("allreduce", r)] == w
+        assert got[("bcast", r)] == w
+        assert got[("scan", r)] == w
+        assert got[("exscan", r)] == (None if r == 0 else w)
+
+
+@pytest.mark.parametrize("kind", ["allreduce", "scan"])
+@pytest.mark.parametrize("mismatch", [np.zeros(100), 5.0, WireSize(16)])
+def test_collective_mixing_wire_size_fails_every_rank(kind, mismatch):
+    eng, world = make_world(3)
+    errors = []
+
+    def main(comm):
+        value = mismatch if comm.rank == 1 else WireSize(800)
+        try:
+            yield from getattr(comm, kind)(value, op=SUM)
+        except ValueError as exc:
+            errors.append(str(exc))
+
+    world.spawn(main)
+    eng.run()
+    assert len(errors) == 3
+    assert all("WireSize(nbytes=800)" in e for e in errors)
+
+
+def test_wire_bytes_of_wire_size_matches_replaced_array():
+    _eng, world = make_world(4)
+    for logical in (4e6, 6.4e4, 12.0, 3.0):
+        n = max(int(logical / world.wire_scale / 8), 1)
+        arrays = {r: np.zeros(n) for r in range(4)}
+        sizes = {r: WireSize(8 * n) for r in range(4)}
+        for kind in ("allreduce", "reduce", "bcast", "scan"):
+            assert world._wire_bytes(kind, sizes) == world._wire_bytes(kind, arrays)
