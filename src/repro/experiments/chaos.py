@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.adios.bp import BPFile, BPWriter
+from repro.adios.bp import BPError, BPFile, BPWriter
 from repro.adios.group import ChunkMeta, GroupDef, OutputStep, VarDef, VarKind
 from repro.adios.io import SyncMPIIO
 from repro.core import PreDatA
@@ -341,7 +341,7 @@ def _step_recovered(
             continue
         try:
             got = f.read_global_array("rho", step)
-        except Exception:
+        except BPError:
             continue
         if np.array_equal(got, expected):
             return True

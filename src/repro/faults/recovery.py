@@ -33,8 +33,9 @@ from typing import Generator, Optional
 from repro.adios.group import OutputStep
 from repro.faults.config import ResilienceConfig
 from repro.faults.detector import FailureDetector
-from repro.faults.errors import RecoveryRestart
+from repro.faults.errors import NoLiveStagers, RecoveryRestart
 from repro.machine.node import NodeFailure
+from repro.sim.engine import Interrupt
 
 __all__ = ["ResilienceController"]
 
@@ -111,8 +112,8 @@ class ResilienceController:
             if not proc.triggered:
                 try:
                     yield proc
-                except Exception:
-                    pass  # a failed rank proc is still 'wound down'
+                except Interrupt:
+                    pass  # a killed rank proc is still 'wound down'
         # If the service wound down *because* nodes crashed (e.g. every
         # stager died at once), detection must still run its course so
         # degradation/replay can salvage the uncommitted dumps — don't
@@ -204,7 +205,7 @@ class ResilienceController:
         """Surviving owner of one compute rank (None = nobody left)."""
         try:
             return self.client.route(compute_rank)
-        except Exception:
+        except NoLiveStagers:
             return None
 
     def _purge_boxes(self) -> None:

@@ -6,8 +6,10 @@ counterparts by differential tests:
 
 - :mod:`repro.perf.kernels` — vectorized numpy kernels for histogram
   binning, WAH bitmap coding, sample-sort splitter selection /
-  partitioning, and array-merge chunk stitching, registered next to
-  their ``naive`` reference twins in :data:`REGISTRY`;
+  partitioning, and array-merge chunk stitching, registered in
+  :data:`REGISTRY` as the ``vectorized`` variant next to their
+  ``naive`` reference twins (the only two :data:`VARIANTS`;
+  ``REPRO_KERNELS`` picks one at import);
 - zero-copy FFS packing (:class:`repro.ffs.PackBuffer`,
   :func:`repro.ffs.encode_into`) used by the compute-side client;
 - the bucketed calendar queue in :class:`repro.sim.engine.Engine` and
@@ -27,11 +29,9 @@ from repro.perf.registry import (
     use_kernels,
 )
 from repro.perf import kernels  # noqa: E402  (registers naive + vectorized)
-from repro.perf import parallel  # noqa: E402  (registers the pool variant)
 
 __all__ = [
     "kernels",
-    "parallel",
     "REGISTRY",
     "VARIANTS",
     "KernelRegistry",

@@ -3,8 +3,7 @@
 Benchmark groups, one ``BENCH_*.json`` sidecar each:
 
 - :func:`bench_kernels` — every registered kernel, ``naive`` vs
-  ``vectorized`` vs ``parallel``, on adversarially dense inputs
-  (default 1M elements);
+  ``vectorized``, on adversarially dense inputs (default 1M elements);
 - :func:`bench_ffs` — FFS packing, allocate-per-step ``encode`` vs
   zero-copy ``encode_into`` with a warm :class:`~repro.ffs.PackBuffer`;
 - :func:`bench_engine` — event-queue backends (``heap`` vs
@@ -22,19 +21,20 @@ baseline in ``benchmarks/perf/baselines/`` — absolute wall seconds are
 recorded for humans but never compared, so the guard is stable across
 host speeds.  A record may additionally carry ``floors`` —
 ``{metric: {floor, measured}}`` acceptance criteria enforced by
-:func:`check_floors` on *every* run, baseline or not (e.g. the ≥2x
-parallel-kernel speedup on hosts with ≥4 cores, or fingerprint
+:func:`check_floors` on *every* run, baseline or not (e.g. fingerprint
 equality in the weak-scaling cross-check).
 
 ``python -m repro perf`` drives everything from the command line
-(``python -m repro perf --scale`` includes the weak-scaling sweep).
+(``python -m repro perf scale`` runs the weak-scaling sweep alone).
+The ``serve``, ``stream`` and ``scenarios`` CLIs share its baseline
+guard: :func:`add_baseline_args` adds ``--baseline``/``--tolerance``
+and :func:`guard_baseline` resolves, loads, compares and reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -42,7 +42,6 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro.perf import kernels as K
-from repro.perf import parallel as P
 from repro.perf.registry import REGISTRY
 
 __all__ = [
@@ -53,6 +52,8 @@ __all__ = [
     "check_floors",
     "write_record",
     "default_baseline_dir",
+    "add_baseline_args",
+    "guard_baseline",
     "main",
 ]
 
@@ -105,54 +106,26 @@ def _kernel_cases(n: int, rng: np.random.Generator) -> dict[str, tuple]:
 
 
 def bench_kernels(n: int = 1_000_000, repeat: int = 3, seed: int = 11) -> dict:
-    """Time every kernel in all three variants; guards are the speedups.
+    """Time every kernel in both variants; guards are the speedups.
 
     The ``speedup:*`` guards (naive vs vectorized) are ratio metrics
-    compared against the committed baseline.  The parallel variant is
-    timed inside one warm pool; on hosts with ≥4 usable workers the
-    ≥2x-over-vectorized acceptance floor for the hot kernels is emitted
-    in ``floors`` (enforced by the CLI on every run) — pool overhead on
-    smaller hosts makes an absolute floor meaningless there, so the
-    timings are recorded but unenforced.
+    compared against the committed baseline.
     """
     cases = _kernel_cases(n, np.random.default_rng(seed))
     results: dict[str, dict] = {}
     guards: dict[str, float] = {}
-    floors: dict[str, dict] = {}
-    workers = P.configured_workers()
-    with P.pooled(workers):
-        for name in REGISTRY.names():
-            args = cases[name]
-            t_naive = _best_of(lambda: REGISTRY.get(name, "naive")(*args), repeat)
-            t_vec = _best_of(
-                lambda: REGISTRY.get(name, "vectorized")(*args), repeat
-            )
-            t_par = _best_of(
-                lambda: REGISTRY.get(name, "parallel")(*args), repeat
-            )
-            speedup = t_naive / max(t_vec, 1e-9)
-            par_speedup = t_vec / max(t_par, 1e-9)
-            results[name] = {
-                "naive_seconds": t_naive,
-                "vectorized_seconds": t_vec,
-                "parallel_seconds": t_par,
-                "speedup": speedup,
-                "parallel_speedup": par_speedup,
-            }
-            guards[f"speedup:{name}"] = speedup
-            if workers >= 4 and (os.cpu_count() or 1) >= 4 and name in HOT_KERNELS:
-                floors[f"parallel_speedup:{name}"] = {
-                    "floor": 2.0,
-                    "measured": par_speedup,
-                }
-    return {
-        "bench": "kernels",
-        "n": n,
-        "workers": workers,
-        "kernels": results,
-        "guards": guards,
-        "floors": floors,
-    }
+    for name in REGISTRY.names():
+        args = cases[name]
+        t_naive = _best_of(lambda: REGISTRY.get(name, "naive")(*args), repeat)
+        t_vec = _best_of(lambda: REGISTRY.get(name, "vectorized")(*args), repeat)
+        speedup = t_naive / max(t_vec, 1e-9)
+        results[name] = {
+            "naive_seconds": t_naive,
+            "vectorized_seconds": t_vec,
+            "speedup": speedup,
+        }
+        guards[f"speedup:{name}"] = speedup
+    return {"bench": "kernels", "n": n, "kernels": results, "guards": guards}
 
 
 def bench_ffs(
@@ -332,15 +305,53 @@ def check_floors(record: dict) -> list[str]:
 
     Unlike :func:`compare`, floors need no baseline: each entry of
     ``record["floors"]`` carries its own bound and measurement, so
-    hard acceptance criteria (parallel-kernel speedup, weak-scaling
-    fingerprint equality) fail the CLI on any run that can measure
-    them.
+    hard acceptance criteria (weak-scaling fingerprint equality) fail
+    the CLI on any run that can measure them.
     """
     return [
         f"floor {key!r} not met: {v['measured']:.3g} < {v['floor']:.3g}"
         for key, v in record.get("floors", {}).items()
         if v["measured"] < v["floor"]
     ]
+
+
+def add_baseline_args(ap: argparse.ArgumentParser) -> None:
+    """Add the shared ``--baseline``/``--tolerance`` options to *ap*."""
+    ap.add_argument(
+        "--baseline", type=Path, default=None,
+        help="baseline dir to guard against ('default' for the "
+        "committed benchmarks/perf/baselines)",
+    )
+    ap.add_argument(
+        "--tolerance", type=float, default=0.2,
+        help="allowed fractional guard regression (default 0.2)",
+    )
+
+
+def guard_baseline(
+    name: str, record: dict, baseline: Optional[Path], tolerance: float,
+    tag: str,
+) -> list[str]:
+    """Guard *record* against ``BENCH_<name>.json`` in *baseline*.
+
+    *baseline* ``None`` means no guard was asked for; ``default`` means
+    :func:`default_baseline_dir`.  A missing baseline file is reported
+    and skipped.  Every outcome is printed behind *tag*; the return is
+    :func:`compare`'s problem list (empty when skipped or clean).
+    """
+    if baseline is None:
+        return []
+    base_dir = default_baseline_dir() if str(baseline) == "default" else baseline
+    base_path = base_dir / f"BENCH_{name}.json"
+    if not base_path.exists():
+        print(f"{tag} no baseline at {base_path}; skipping guard")
+        return []
+    problems = compare(record, json.loads(base_path.read_text()), tolerance)
+    for p in problems:
+        print(f"{tag} REGRESSION {p}")
+    if not problems:
+        print(f"{tag} all guards clean")
+    return problems
 
 
 def _bench_query() -> dict:
@@ -393,26 +404,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="kernel benchmark element count (default 1M)",
     )
     ap.add_argument(
-        "--scale", action="store_true",
-        help="include the weak-scaling benchmark in the selection",
-    )
-    ap.add_argument(
         "--scale-ranks", type=int, nargs="+", default=None, metavar="N",
         help="weak-scaling rank counts (default 10000 50000 100000)",
     )
-    ap.add_argument(
-        "--baseline", type=Path, default=None,
-        help="baseline dir to guard against (use 'default' for the "
-        "committed benchmarks/perf/baselines)",
-    )
-    ap.add_argument(
-        "--tolerance", type=float, default=0.2,
-        help="allowed fractional guard regression (default 0.2)",
-    )
+    add_baseline_args(ap)
     args = ap.parse_args(argv)
     names = list(_BENCHES) if "all" in args.benches else list(dict.fromkeys(args.benches))
-    if args.scale and "scale" not in names:
-        names.append("scale")
     failures = []
     for name in names:
         if name == "kernels":
@@ -434,22 +431,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         for p in floor_problems:
             print(f"[perf]   FAILED {p}")
         failures.extend(floor_problems)
-        if args.baseline is not None:
-            base_dir = (
-                default_baseline_dir()
-                if str(args.baseline) == "default"
-                else args.baseline
-            )
-            base_path = base_dir / f"BENCH_{name}.json"
-            if not base_path.exists():
-                print(f"[perf]   no baseline at {base_path}; skipping guard")
-                continue
-            problems = compare(
-                record, json.loads(base_path.read_text()), args.tolerance
-            )
-            for p in problems:
-                print(f"[perf]   REGRESSION {p}")
-            failures.extend(problems)
+        failures.extend(
+            guard_baseline(name, record, args.baseline, args.tolerance, "[perf]  ")
+        )
     if failures:
         print(f"[perf] FAILED: {len(failures)} regression(s)")
         return 1

@@ -12,11 +12,11 @@ Three verbs:
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 from typing import Optional
 
 from repro.experiments.report import format_table
+from repro.perf.bench import add_baseline_args, guard_baseline, write_record
 
 __all__ = ["main"]
 
@@ -73,8 +73,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.perf.bench import compare, default_baseline_dir, write_record
-
     from .runner import sweep
 
     record = sweep(
@@ -120,25 +118,10 @@ def _cmd_sweep(args) -> int:
         or g["invariant_clean_fraction"] < 1.0
         or g["determinism_fraction"] < 1.0
     )
-    if args.baseline is not None:
-        base_dir = (
-            default_baseline_dir()
-            if str(args.baseline) == "default"
-            else args.baseline
-        )
-        base_path = base_dir / "BENCH_chaos_matrix.json"
-        if not base_path.exists():
-            print(f"[scenarios] no baseline at {base_path}; skipping guard")
-            return 1 if bad else 0
-        problems = compare(
-            record, json.loads(base_path.read_text()), args.tolerance
-        )
-        for p in problems:
-            print(f"[scenarios] REGRESSION {p}")
-        if problems:
-            return 1
-        print("[scenarios] all guards clean")
-    return 1 if bad else 0
+    problems = guard_baseline(
+        "chaos_matrix", record, args.baseline, args.tolerance, "[scenarios]"
+    )
+    return 1 if problems or bad else 0
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -174,15 +157,7 @@ def main(argv: Optional[list] = None) -> int:
         "--out", type=Path, default=Path("."),
         help="directory for the BENCH_chaos_matrix.json sidecar",
     )
-    sweep_p.add_argument(
-        "--baseline", type=Path, default=None,
-        help="baseline dir to guard against ('default' for the "
-        "committed benchmarks/perf/baselines)",
-    )
-    sweep_p.add_argument(
-        "--tolerance", type=float, default=0.2,
-        help="allowed fractional guard regression (default 0.2)",
-    )
+    add_baseline_args(sweep_p)
     args = ap.parse_args(argv)
 
     if args.verb == "list":

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 from pathlib import Path
 from typing import Optional
 
 from repro.experiments.report import format_table, fmt_pct
-from repro.perf.bench import compare, default_baseline_dir, write_record
+from repro.perf.bench import add_baseline_args, guard_baseline, write_record
 from repro.serve.bench import BENCH_CONFIG, DEFAULT_LOADS, bench_query
 from repro.serve.config import ServeConfig
 
@@ -45,15 +44,7 @@ def main(argv: Optional[list] = None) -> int:
         "--out", type=Path, default=Path("."),
         help="directory for the BENCH_query.json sidecar",
     )
-    ap.add_argument(
-        "--baseline", type=Path, default=None,
-        help="baseline dir to guard against ('default' for the "
-        "committed benchmarks/perf/baselines)",
-    )
-    ap.add_argument(
-        "--tolerance", type=float, default=0.2,
-        help="allowed fractional guard regression (default 0.2)",
-    )
+    add_baseline_args(ap)
     args = ap.parse_args(argv)
 
     # same pressure config the committed baseline was recorded with,
@@ -87,22 +78,7 @@ def main(argv: Optional[list] = None) -> int:
     )
     path = write_record("query", record, args.out)
     print(f"[serve] wrote {path}")
-    if args.baseline is not None:
-        base_dir = (
-            default_baseline_dir()
-            if str(args.baseline) == "default"
-            else args.baseline
-        )
-        base_path = base_dir / "BENCH_query.json"
-        if not base_path.exists():
-            print(f"[serve] no baseline at {base_path}; skipping guard")
-            return 0
-        problems = compare(
-            record, json.loads(base_path.read_text()), args.tolerance
-        )
-        for p in problems:
-            print(f"[serve] REGRESSION {p}")
-        if problems:
-            return 1
-        print("[serve] all guards clean")
-    return 0
+    problems = guard_baseline(
+        "query", record, args.baseline, args.tolerance, "[serve]"
+    )
+    return 1 if problems else 0

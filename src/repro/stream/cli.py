@@ -9,12 +9,11 @@ perf-regression harness.
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 from typing import Optional
 
 from repro.experiments.report import format_table
-from repro.perf.bench import compare, default_baseline_dir, write_record
+from repro.perf.bench import add_baseline_args, guard_baseline, write_record
 from repro.stream.bench import BENCH_PARAMS, bench_stream
 
 __all__ = ["main"]
@@ -51,15 +50,7 @@ def main(argv: Optional[list] = None) -> int:
         "--out", type=Path, default=Path("."),
         help="directory for the BENCH_stream.json sidecar",
     )
-    ap.add_argument(
-        "--baseline", type=Path, default=None,
-        help="baseline dir to guard against ('default' for the "
-        "committed benchmarks/perf/baselines)",
-    )
-    ap.add_argument(
-        "--tolerance", type=float, default=0.2,
-        help="allowed fractional guard regression (default 0.2)",
-    )
+    add_baseline_args(ap)
     args = ap.parse_args(argv)
 
     record = bench_stream(
@@ -103,22 +94,7 @@ def main(argv: Optional[list] = None) -> int:
               "(sent == delivered + deduped, exactly-once)")
     path = write_record("stream", record, args.out)
     print(f"[stream] wrote {path}")
-    if args.baseline is not None:
-        base_dir = (
-            default_baseline_dir()
-            if str(args.baseline) == "default"
-            else args.baseline
-        )
-        base_path = base_dir / "BENCH_stream.json"
-        if not base_path.exists():
-            print(f"[stream] no baseline at {base_path}; skipping guard")
-            return 0
-        problems = compare(
-            record, json.loads(base_path.read_text()), args.tolerance
-        )
-        for p in problems:
-            print(f"[stream] REGRESSION {p}")
-        if problems:
-            return 1
-        print("[stream] all guards clean")
-    return 1 if run["violations"] else 0
+    problems = guard_baseline(
+        "stream", record, args.baseline, args.tolerance, "[stream]"
+    )
+    return 1 if problems or run["violations"] else 0

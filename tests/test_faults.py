@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adios.bp import BPError
 from repro.experiments.chaos import fingerprint, run_once
 from repro.faults import (
     FailureDetector,
     FaultInjector,
     NodeFailure,
+    NoLiveStagers,
     ResilienceConfig,
 )
 from repro.machine import Machine, TESTING_TINY
 from repro.sim import Engine
+from repro.sim.engine import Interrupt
 
 
 def _machine(n_compute=2, n_staging=2):
@@ -339,3 +342,85 @@ def test_random_fetch_faults_different_seed_moves_the_set():
     _run_a, inj_a = _random_fault_run(seed=1)
     _run_b, inj_b = _random_fault_run(seed=2)
     assert inj_a.injected != inj_b.injected
+
+
+# ------------------------------------------- narrow exception handlers
+def _supervise(proc_body):
+    """Run ResilienceController._supervisor over one stand-in rank proc."""
+    from types import SimpleNamespace
+
+    from repro.faults import ResilienceController
+
+    eng = Engine()
+    rank = eng.process(proc_body(eng))
+    stopped = []
+    ctrl = SimpleNamespace(
+        env=eng,
+        service=SimpleNamespace(_procs=[rank]),
+        detector=SimpleNamespace(interval=1.0, stop=lambda: stopped.append(True)),
+        _undetected_dead_ranks=lambda: [],
+    )
+    sup = eng.process(ResilienceController._supervisor(ctrl))
+    eng.run()
+    return sup, stopped
+
+
+def test_supervisor_treats_an_interrupted_rank_as_wound_down():
+    def rank(eng):
+        yield eng.timeout(1.0)
+        raise Interrupt("killed")
+
+    sup, stopped = _supervise(rank)
+    assert sup.ok and stopped == [True]
+
+
+def test_supervisor_propagates_an_unrelated_rank_failure():
+    def rank(eng):
+        yield eng.timeout(1.0)
+        raise KeyError("bug in a rank proc")
+
+    sup, stopped = _supervise(rank)
+    assert not sup.ok and isinstance(sup.value, KeyError)
+    assert stopped == []
+
+
+def _reroute(exc):
+    from types import SimpleNamespace
+
+    from repro.faults import ResilienceController
+
+    def route(_crank):
+        raise exc
+
+    ctrl = SimpleNamespace(client=SimpleNamespace(route=route))
+    return ResilienceController._flow_reroute(ctrl, 0)
+
+
+def test_flow_reroute_returns_none_when_no_stager_lives():
+    assert _reroute(NoLiveStagers("all staging ranks have failed")) is None
+
+
+def test_flow_reroute_propagates_an_unrelated_error():
+    with pytest.raises(ValueError, match="outside staging world"):
+        _reroute(ValueError("Route() returned 9 outside staging world of 2"))
+
+
+def _recovered(exc):
+    from types import SimpleNamespace
+
+    from repro.experiments.chaos import _step_recovered
+
+    def read_global_array(_var, _step):
+        raise exc
+
+    broken = SimpleNamespace(read_global_array=read_global_array)
+    return _step_recovered(broken, None, 0, np.zeros(4))
+
+
+def test_step_recovered_skips_an_unreadable_file():
+    assert _recovered(BPError("no chunks for 'rho' at step 0")) is False
+
+
+def test_step_recovered_propagates_an_unrelated_error():
+    with pytest.raises(MemoryError):
+        _recovered(MemoryError())

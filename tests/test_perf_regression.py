@@ -16,6 +16,10 @@ Two layers:
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +96,42 @@ def test_compare_only_enforces_baseline_guards():
     base = {"guards": {"speedup:a": 2.0}, "encode_seconds": 1e-9}
     cur = {"guards": {"speedup:a": 2.0, "speedup:b": 0.1}, "encode_seconds": 99.0}
     assert bench.compare(cur, base) == []
+
+
+def test_guard_baseline_skips_a_missing_baseline(tmp_path, capsys):
+    record = {"guards": {"speedup:a": 2.0}}
+    assert bench.guard_baseline("ffs", record, tmp_path, 0.2, "[t]") == []
+    assert "[t] no baseline at" in capsys.readouterr().out
+
+
+def test_guard_baseline_flags_an_inflated_guard(tmp_path, capsys):
+    bench.write_record("ffs", {"guards": {"speedup:a": 100.0}}, tmp_path)
+    problems = bench.guard_baseline(
+        "ffs", {"guards": {"speedup:a": 2.0}}, tmp_path, 0.2, "[t]"
+    )
+    assert len(problems) == 1 and "speedup:a" in problems[0]
+    assert "[t] REGRESSION" in capsys.readouterr().out
+
+
+def test_guard_baseline_clean_run_has_no_problems(tmp_path, capsys):
+    bench.write_record("ffs", {"guards": {"speedup:a": 2.0}}, tmp_path)
+    record = {"guards": {"speedup:a": 2.0}}
+    assert bench.guard_baseline("ffs", record, tmp_path, 0.2, "[t]") == []
+    assert "[t] all guards clean" in capsys.readouterr().out
+
+
+def test_perf_cli_fails_against_an_inflated_baseline(tmp_path):
+    base = tmp_path / "base"
+    bench.write_record("ffs", {"guards": {"speedup:encode_into": 1e9}}, base)
+    src = str(Path(bench.__file__).resolve().parents[2])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "perf", "ffs",
+         "--baseline", str(base), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "[perf]   REGRESSION guard 'speedup:encode_into'" in proc.stdout
 
 
 # ---------------------------------------------------------------------
