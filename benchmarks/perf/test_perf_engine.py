@@ -1,9 +1,8 @@
-"""Event-engine benchmark: queue backends + scheduler wakeups, guarded.
+"""Event-engine benchmark: queue backends, guarded.
 
 The calendar queue is guarded near parity with the C-implemented heap
 (it wins on same-timestamp bursts, which is what staged pipelines
-produce, and must never fall far behind elsewhere); batched scheduler
-wakeups are guarded comfortably above the legacy per-waiter poll loop.
+produce, and must never fall far behind elsewhere).
 """
 
 from __future__ import annotations

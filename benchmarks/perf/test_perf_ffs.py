@@ -14,6 +14,6 @@ from repro.perf import bench
 pytestmark = pytest.mark.perf
 
 
-def test_zero_copy_packing_holds(bench_guard):
+def test_encode_into_packing_holds(bench_guard):
     record = bench_guard("ffs", bench.bench_ffs())
     assert record["scratch_grows_after_warmup"] == 0

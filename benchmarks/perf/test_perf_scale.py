@@ -1,13 +1,13 @@
 """Weak-scaling regression: 10k/50k/100k ranks vs BENCH_scale.json.
 
-Acceptance (ISSUE 9): events/second at 100k ranks must not regress
-more than 20 % below the committed baseline (enforced by the
-``bench_guard`` comparison), the optimized engine path (calendar
-batch-drain + batched wakeups + numpy ledgers) must stay bit-for-bit
-identical to the heap-queue/dict-bookkeeping reference at every scale
-point, and the *simulated* results — final sim time, deferral
-counters, fingerprints — must match the committed baseline exactly
-(they are deterministic; any drift is a behaviour change, not noise).
+Events/second at 100k ranks must not regress more than 20 % below
+the committed baseline (enforced by the ``bench_guard`` comparison).
+Each scale point runs the same code on the calendar queue (batched
+bucket drains) and on the heap queue, and the two runs must stay
+bit-for-bit identical.  The *simulated* results — final sim time,
+deferral counters, fingerprints — must match the committed baseline
+exactly (they are deterministic; any drift is a behaviour change, not
+noise).
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ def test_events_per_sec_guard_present_at_largest_point(scale_record):
 def test_fingerprints_match_reference_path_at_every_scale(scale_record):
     for nranks, point in scale_record["points"].items():
         assert point["fingerprint_match"], (
-            f"{nranks} ranks: optimized engine diverged from the "
-            f"heap-queue/dict-bookkeeping reference"
+            f"{nranks} ranks: calendar queue run diverged from the "
+            f"heap queue run"
         )
     assert bench.check_floors(scale_record) == []
 

@@ -87,6 +87,8 @@ def main(argv=None) -> int:
         from repro.scenarios.cli import main as scenarios_main
 
         return scenarios_main(argv[1:])
+    from repro.perf.bench import positive_float
+
     parser.add_argument(
         "command",
         choices=["run-all", "fig7", "fig8", "fig9", "fig10", "fig11",
@@ -102,7 +104,7 @@ def main(argv=None) -> int:
              "summary; PATH defaults to <command>_trace.json",
     )
     parser.add_argument(
-        "--flow", nargs="?", const=0.25, default=None, type=float,
+        "--flow", nargs="?", const=0.25, default=None, type=positive_float,
         metavar="FRACTION",
         help="(fig7/chaos) enable flow control: cap each staging "
              "node's buffer pool at FRACTION of its per-step working "

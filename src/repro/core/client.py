@@ -27,10 +27,10 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.adios.group import OutputStep
 from repro.adios.io import IOMethod
-from repro.core.accounting import RankLedger
 from repro.core.operator import PreDatAOperator
 from repro.core.scheduler import MovementScheduler
 from repro.faults.errors import FetchDropped, NoLiveStagers
+from repro.ffs import PackBuffer
 from repro.machine.machine import Machine
 from repro.mpi.communicator import Communicator
 from repro.sim.engine import Engine, Event
@@ -67,7 +67,7 @@ class FetchRequest:
 
 @dataclass
 class _BufferRecord:
-    payload: bytes
+    payload: memoryview  # read-only view borrowing the rank's PackBuffer
     logical_nbytes: float
     freed: Event
     node_id: int
@@ -94,7 +94,6 @@ class StagingClient:
         max_buffered_steps: int = 2,
         fetch_rate_cap: Optional[float] = None,
         resilient: bool = False,
-        zero_copy_pack: bool = True,
         tenant: Optional[str] = None,
     ):
         """``fetch_rate_cap`` (bytes/s per staging process) paces the
@@ -109,14 +108,12 @@ class StagingClient:
         staging world has finished the step — so a crashed stager's
         step can be re-fetched by survivors with zero data loss.
 
-        ``zero_copy_pack=True`` (default) packs each dump into a
-        per-rank :class:`repro.ffs.PackBuffer` donated downstream as a
-        read-only memoryview: after warm-up, Stage 1b allocates nothing
-        and copies each array exactly once.  Scratches are recycled at
-        :meth:`commit`, when the staging world is provably done with
-        the chunk and every array decoded from it.  ``False`` restores
-        the immutable ``bytes`` path (the allocation-per-step
-        baseline, kept for comparison benchmarks).
+        Each dump is packed into a :class:`repro.ffs.PackBuffer`
+        donated downstream as a read-only memoryview: after warm-up,
+        Stage 1b allocates nothing and copies each array exactly once.
+        Scratches are recycled at :meth:`commit`, when the staging
+        world is provably done with the chunk and every array decoded
+        from it.
 
         ``tenant`` names the job this client belongs to under the
         multi-tenant jobs layer.  It qualifies every key this pipeline
@@ -145,17 +142,12 @@ class StagingClient:
         #: pending packed chunks keyed by (compute_rank, step)
         self._buffers: dict[tuple[int, int], _BufferRecord] = {}
         # -- zero-copy packing ------------------------------------------
-        self.zero_copy_pack = zero_copy_pack
         #: free PackBuffers, reused across (rank, step) packs
-        self._scratch_pool: list = []
+        self._scratch_pool: list[PackBuffer] = []
         #: in-flight scratch per (compute_rank, step), recycled at commit
-        self._scratches: dict[tuple[int, int], Any] = {}
+        self._scratches: dict[tuple[int, int], PackBuffer] = {}
         #: completion order per compute rank for back-pressure
         self._pending: dict[int, list[Event]] = {}
-        #: per-rank accumulated seconds, numpy-backed (dict-compatible;
-        #: see :class:`repro.core.accounting.RankLedger`)
-        self.visible_seconds = RankLedger(dtype="float64")
-        self.partial_calc_seconds = RankLedger(dtype="float64")
         # -- resilience state ------------------------------------------
         self.resilient = resilient
         #: fault-injection hook: (compute_rank, step, attempt) ->
@@ -274,7 +266,7 @@ class StagingClient:
             # zero-survivor replay), its credits must not leak
             self.flow.release_credits(self.key(compute_rank, step))
 
-    def buffer_payload(self, compute_rank: int, step: int) -> Optional[bytes]:
+    def buffer_payload(self, compute_rank: int, step: int) -> Optional[memoryview]:
         """Packed bytes of an uncommitted dump (controller replay path)."""
         rec = self._buffers.get((compute_rank, step))
         return None if rec is None else rec.payload
@@ -325,23 +317,14 @@ class StagingClient:
             result = op.partial_calculate(step)
             if result is not None:
                 partials[op.name] = result
-        self.partial_calc_seconds.add(comm.rank, env.now - t0)
         if obs is not None:
             obs.span("partial_calculate", "compute", t0, tid=tid, step=step.step)
 
         # Stage 1b: pack into a contiguous FFS buffer (memcpy-bound).
         t_pack = env.now
-        if self.zero_copy_pack:
-            if self._scratch_pool:
-                scratch = self._scratch_pool.pop()
-            else:
-                from repro.ffs import PackBuffer
-
-                scratch = PackBuffer()
-            payload = step.pack(scratch=scratch)
-            self._scratches[(comm.rank, step.step)] = scratch
-        else:
-            payload = step.pack()
+        scratch = self._scratch_pool.pop() if self._scratch_pool else PackBuffer()
+        payload = step.pack(scratch=scratch)
+        self._scratches[(comm.rank, step.step)] = scratch
         pack_time = 2.0 * node.memory_scan_time(step.nbytes_logical)
         if pack_time > 0:
             yield env.timeout(pack_time)
@@ -402,9 +385,7 @@ class StagingClient:
             # the controller's fallback replay so the dump still lands.
             env.process(self._orphan_sink(comm.rank, step.step))
 
-        visible = env.now - start
-        self.visible_seconds.add(comm.rank, visible)
-        return visible
+        return env.now - start
 
     def skip_step(self, comm: Communicator, step: int) -> Generator:
         """Process body: tell the staging area this rank dumps *step*

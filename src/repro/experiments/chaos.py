@@ -498,6 +498,8 @@ def main(
 def _cli(argv=None) -> None:
     import argparse
 
+    from repro.perf.bench import positive_float
+
     p = argparse.ArgumentParser(description="Chaos: staging-node crash recovery")
     p.add_argument(
         "--trace", nargs="?", const="chaos_trace.json", default=None,
@@ -506,7 +508,7 @@ def _cli(argv=None) -> None:
              "plus a .jsonl sidecar and a metrics summary",
     )
     p.add_argument(
-        "--flow", nargs="?", const=0.25, default=None, type=float,
+        "--flow", nargs="?", const=0.25, default=None, type=positive_float,
         metavar="FRACTION",
         help="enable flow control; cap each staging node's buffer pool "
              "at FRACTION of its per-step working set (default 0.25)",

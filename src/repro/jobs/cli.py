@@ -24,6 +24,7 @@ from repro.check import OPERATOR_KINDS, digest_value, fuzz_schedule
 from repro.jobs.config import JobSpec, PreemptionConfig, TenancyConfig
 from repro.jobs.isolation import isolation_violations, jains_index
 from repro.jobs.manager import JobManager
+from repro.perf.bench import int_at_least
 
 __all__ = ["main"]
 
@@ -144,7 +145,7 @@ def _fuzz(args) -> int:
 
 
 def _add_workload_args(sub) -> None:
-    sub.add_argument("--tenants", type=int, default=4,
+    sub.add_argument("--tenants", type=int_at_least(1), default=4,
                      help="number of concurrent tenants (default 4)")
     sub.add_argument("--kinds", default=_DEFAULT_KINDS,
                      help=f"comma-separated workload kinds cycled over "

@@ -7,22 +7,22 @@ Benchmark groups, one ``BENCH_*.json`` sidecar each:
 - :func:`bench_ffs` — FFS packing, allocate-per-step ``encode`` vs
   zero-copy ``encode_into`` with a warm :class:`~repro.ffs.PackBuffer`;
 - :func:`bench_engine` — event-queue backends (``heap`` vs
-  ``calendar``) on a bursty same-timestamp workload, plus legacy vs
-  batched :class:`~repro.core.scheduler.MovementScheduler` wakeups;
+  ``calendar``) on a bursty same-timestamp workload;
 - :func:`repro.perf.scale.bench_scale` — 10k/50k/100k-rank weak
-  scaling of the whole engine + scheduler stack, cross-checked
-  bit-for-bit against the heap-queue/dict-bookkeeping reference path.
+  scaling of the engine + scheduler stack, each point cross-checked
+  bit-for-bit between the calendar and the heap queue.
 
-Each record carries a ``guards`` dict of *machine-portable* ratio
-metrics (fast path relative to the reference path, measured in the same
-process on the same host).  :func:`compare` fails a run when any guard
-falls more than ``tolerance`` (default 20 %) below the committed
-baseline in ``benchmarks/perf/baselines/`` — absolute wall seconds are
-recorded for humans but never compared, so the guard is stable across
-host speeds.  A record may additionally carry ``floors`` —
-``{metric: {floor, measured}}`` acceptance criteria enforced by
-:func:`check_floors` on *every* run, baseline or not (e.g. fingerprint
-equality in the weak-scaling cross-check).
+Each record carries a ``guards`` dict.  Guards are in-process ratios
+(fast path relative to the reference path, on the same host) or
+deterministic simulated outcomes, so they hold across host speeds —
+except the weak-scaling ``events_per_sec_*`` guard, which is absolute
+events/second and so depends on the host.  :func:`compare` fails a run
+when any guard falls more than ``tolerance`` (default 20 %) below the
+committed baseline in ``benchmarks/perf/baselines/``; wall seconds are
+recorded for humans but never compared.  A record may additionally
+carry ``floors`` — ``{metric: {floor, measured}}`` acceptance criteria
+enforced by :func:`check_floors` on *every* run, baseline or not
+(e.g. fingerprint equality in the weak-scaling cross-check).
 
 ``python -m repro perf`` drives everything from the command line
 (``python -m repro perf scale`` runs the weak-scaling sweep alone).
@@ -54,6 +54,8 @@ __all__ = [
     "default_baseline_dir",
     "add_baseline_args",
     "guard_baseline",
+    "int_at_least",
+    "positive_float",
     "main",
 ]
 
@@ -200,48 +202,17 @@ def _engine_burst(queue: str, nbacklog: int, nworkers: int, nhops: int) -> float
     return time.perf_counter() - t0
 
 
-def _scheduler_storm(batch: bool, nwaiters: int, ncycles: int) -> float:
-    """Seconds to push *nwaiters* deferred fetches through comm cycles."""
-    from repro.core.scheduler import MovementScheduler
-    from repro.sim.engine import Engine
-
-    eng = Engine()
-    sched = MovementScheduler(eng, max_defer=1e6, batch_wakeups=batch)
-
-    def app():
-        for _ in range(ncycles):
-            sched.enter_comm_phase(0)
-            yield eng.timeout(1.0)
-            sched.exit_comm_phase(0)
-            yield eng.timeout(1.0)
-
-    def fetcher():
-        for _ in range(ncycles):
-            yield from sched.wait_clear(0)
-            yield eng.timeout(2.0)
-
-    eng.process(app())
-    # phase-align fetchers: first wait lands inside the first comm phase
-    for _ in range(nwaiters):
-        eng.process(fetcher())
-    t0 = time.perf_counter()
-    eng.run()
-    return time.perf_counter() - t0
-
-
 def bench_engine(
     nbacklog: int = 10_000, nworkers: int = 100, nhops: int = 300,
-    nwaiters: int = 300, ncycles: int = 10, repeat: int = 3,
+    repeat: int = 3,
 ) -> dict:
-    """Queue backends + scheduler wakeup strategies on bursty loads."""
+    """Queue backends on a bursty same-timestamp load."""
     t_heap = _best_of(
         lambda: _engine_burst("heap", nbacklog, nworkers, nhops), repeat
     )
     t_cal = _best_of(
         lambda: _engine_burst("calendar", nbacklog, nworkers, nhops), repeat
     )
-    t_legacy = _best_of(lambda: _scheduler_storm(False, nwaiters, ncycles), repeat)
-    t_batch = _best_of(lambda: _scheduler_storm(True, nwaiters, ncycles), repeat)
     nevents = nbacklog + nworkers * nhops
     return {
         "bench": "engine",
@@ -249,12 +220,7 @@ def bench_engine(
         "heap_seconds": t_heap,
         "calendar_seconds": t_cal,
         "calendar_events_per_s": nevents / max(t_cal, 1e-9),
-        "scheduler_legacy_seconds": t_legacy,
-        "scheduler_batched_seconds": t_batch,
-        "guards": {
-            "ratio:calendar_vs_heap": t_heap / max(t_cal, 1e-9),
-            "ratio:batched_vs_legacy": t_legacy / max(t_batch, 1e-9),
-        },
+        "guards": {"ratio:calendar_vs_heap": t_heap / max(t_cal, 1e-9)},
     }
 
 
@@ -280,8 +246,8 @@ def compare(record: dict, baseline: dict, tolerance: float = 0.2) -> list[str]:
 
     Only ``guards`` entries present in the *baseline* are enforced: a
     guard regresses when it falls more than ``tolerance`` below the
-    baseline value.  Guards are ratios measured within one process, so
-    the comparison is host-speed independent.
+    baseline value.  Wall seconds outside ``guards`` are never
+    compared.
     """
     problems = []
     base_guards = baseline.get("guards", {})
@@ -313,6 +279,36 @@ def check_floors(record: dict) -> list[str]:
         for key, v in record.get("floors", {}).items()
         if v["measured"] < v["floor"]
     ]
+
+
+def int_at_least(lo: int) -> Callable[[str], int]:
+    """argparse ``type=`` accepting integers >= *lo*.
+
+    A violation is an argparse error (exit 2) naming the flag, instead
+    of a traceback from deep inside the run it would configure.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
+def positive_float(text: str) -> float:
+    """argparse ``type=`` accepting floats > 0 (see :func:`int_at_least`)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
 
 
 def add_baseline_args(ap: argparse.ArgumentParser) -> None:
@@ -400,11 +396,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--out", type=Path, default=Path("."), help="sidecar output directory"
     )
     ap.add_argument(
-        "--n", type=int, default=1_000_000,
+        "--n", type=int_at_least(1), default=1_000_000,
         help="kernel benchmark element count (default 1M)",
     )
     ap.add_argument(
-        "--scale-ranks", type=int, nargs="+", default=None, metavar="N",
+        "--scale-ranks", type=int_at_least(1), nargs="+", default=None, metavar="N",
         help="weak-scaling rank counts (default 10000 50000 100000)",
     )
     add_baseline_args(ap)

@@ -8,17 +8,12 @@ through communication phases while every rank's fetch admission goes
 through :meth:`~repro.core.scheduler.MovementScheduler.wait_clear` —
 at 10k/50k/100k ranks and records events/second per point.
 
-Every scale point is run twice:
-
-- the **optimized** path — calendar queue with batched bucket drains,
-  batched scheduler wakeups, numpy :class:`~repro.core.accounting.RankLedger`
-  bookkeeping;
-- the **reference** path — binary-heap queue (per-pop loop), legacy
-  per-waiter wakeups, plain-dict bookkeeping.
-
-Both must produce the *same fingerprint* (sha256 over final simulated
-time, the per-rank visible-seconds array, and the scheduler's deferral
-counters).  The fingerprint match is emitted as a floor metric, so
+Every scale point is run twice on the same code: once on the default
+calendar queue (batched bucket drains) and once on the per-pop
+``heap`` queue as the cross-check.  Both must produce the *same
+fingerprint* (sha256 over final simulated time, the per-rank
+visible-seconds array, and the scheduler's deferral counters).  The
+fingerprint match is emitted as a floor metric, so
 ``python -m repro perf scale`` fails on any observable divergence even
 without a baseline; events/second and the weak-scaling ratio are
 ``guards`` compared against the committed ``BENCH_scale.json``.
@@ -33,19 +28,10 @@ from typing import Generator, Iterable, Optional
 
 import numpy as np
 
-from repro.core.accounting import RankLedger
-
 __all__ = ["bench_scale", "DEFAULT_RANKS"]
 
 #: default weak-scaling points (MPI rank counts)
 DEFAULT_RANKS = (10_000, 50_000, 100_000)
-
-
-class _DictDepth(dict):
-    """Plain-dict stand-in for the scheduler's RankLedger (reference)."""
-
-    def add(self, rank: int, amount: int) -> None:
-        self[rank] = self.get(rank, 0) + amount
 
 
 def _run_point(
@@ -53,10 +39,9 @@ def _run_point(
     cycles: int,
     ranks_per_node: int,
     seed: int,
-    *,
-    reference: bool,
+    queue: str,
 ) -> dict:
-    """One scale point; returns timing + fingerprint inputs."""
+    """One scale point on *queue*; returns timing + fingerprint inputs."""
     from repro.core.scheduler import MovementScheduler
     from repro.sim.engine import Engine
 
@@ -67,13 +52,9 @@ def _run_point(
     gap_len = np.round(0.5 + rng.random(nnodes), 6)
     jitter = np.round(rng.random(nranks) * 0.25, 6)
 
-    eng = Engine(queue="heap" if reference else "calendar")
-    sched = MovementScheduler(
-        eng, max_defer=1.0, batch_wakeups=not reference
-    )
-    if reference:
-        sched._depth = _DictDepth()
-    visible: dict = {} if reference else RankLedger(dtype="float64")
+    eng = Engine(queue=queue)
+    sched = MovementScheduler(eng, max_defer=1.0)
+    visible = np.zeros(nranks)
 
     def app(node: int) -> Generator:
         for _ in range(cycles):
@@ -87,10 +68,7 @@ def _run_point(
         for _ in range(cycles):
             yield eng.timeout(jitter[rank].item())
             deferred = yield from sched.wait_clear(node)
-            if reference:
-                visible[rank] = visible.get(rank, 0.0) + deferred
-            else:
-                visible.add(rank, deferred)
+            visible[rank] += deferred
 
     t0 = time.perf_counter()
     for node in range(nnodes):
@@ -100,15 +78,9 @@ def _run_point(
     eng.run()
     elapsed = time.perf_counter() - t0
 
-    if reference:
-        dense = np.zeros(nranks, dtype=np.float64)
-        for r, v in visible.items():
-            dense[r] = v
-    else:
-        dense = visible.dense(nranks)
     h = hashlib.sha256()
     h.update(struct.pack("<d", eng.now))
-    h.update(dense.tobytes())
+    h.update(visible.tobytes())
     h.update(struct.pack("<q", sched.deferred_fetches))
     h.update(struct.pack("<d", sched.total_defer_seconds))
     return {
@@ -127,23 +99,19 @@ def bench_scale(
     ranks_per_node: int = 128,
     seed: int = 13,
 ) -> dict:
-    """Weak-scaling sweep; every point cross-checked vs the reference.
+    """Weak-scaling sweep; every point cross-checked on the heap queue.
 
-    Guards: absolute events/second at the largest point (the satellite
-    regression bound), the weak-scaling throughput ratio largest/
-    smallest, and — as an always-enforced floor — fingerprint equality
-    between the optimized and reference engine paths.
+    Guards: absolute events/second at the largest point, the
+    weak-scaling throughput ratio largest/smallest, and — as an
+    always-enforced floor — fingerprint equality between the calendar
+    and heap queue runs.
     """
     rank_points = sorted(dict.fromkeys(int(r) for r in (ranks or DEFAULT_RANKS)))
     points: dict[str, dict] = {}
     all_match = True
     for nranks in rank_points:
-        fast = _run_point(
-            nranks, cycles, ranks_per_node, seed, reference=False
-        )
-        ref = _run_point(
-            nranks, cycles, ranks_per_node, seed, reference=True
-        )
+        fast = _run_point(nranks, cycles, ranks_per_node, seed, "calendar")
+        ref = _run_point(nranks, cycles, ranks_per_node, seed, "heap")
         match = fast["fingerprint"] == ref["fingerprint"]
         all_match = all_match and match
         points[str(nranks)] = {

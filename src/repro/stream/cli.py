@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.experiments.report import format_table
-from repro.perf.bench import add_baseline_args, guard_baseline, write_record
+from repro.perf.bench import add_baseline_args, guard_baseline, int_at_least, write_record
 from repro.stream.bench import BENCH_PARAMS, bench_stream
 
 __all__ = ["main"]
@@ -26,8 +26,8 @@ def main(argv: Optional[list] = None) -> int:
         description="pub/sub step streaming: coupled-workflow scenario",
     )
     ap.add_argument(
-        "--steps", type=int, default=BENCH_PARAMS["nsteps"],
-        help="producer steps to publish",
+        "--steps", type=int_at_least(2), default=BENCH_PARAMS["nsteps"],
+        help="producer steps to publish (at least 2)",
     )
     ap.add_argument(
         "--consumers", type=int, default=BENCH_PARAMS["analysis_members"],

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro.adios import GroupDef, OutputStep, VarDef, VarKind, ChunkMeta
@@ -139,3 +144,21 @@ def run_staging_pipeline(
     app_world.spawn(app_main)
     eng.run()
     return eng, machine, predata, visible
+
+
+def run_cli(*args: str, timeout: float = 300) -> subprocess.CompletedProcess:
+    """Run ``python -m repro *args`` against this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def assert_cli_rejects(flag: str, *args: str) -> None:
+    """``python -m repro *args`` must be an argparse error naming *flag*."""
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert f"argument {flag}:" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -221,7 +221,7 @@ def test_non_contiguous_arrays_encode_identically():
         np.testing.assert_array_equal(out["g"], grid)
 
 
-def test_non_contiguous_zero_copy_pack_through_output_step():
+def test_non_contiguous_scratch_pack_through_output_step():
     """OutputStep.pack with a scratch buffer accepts sliced fields."""
     from repro.adios import GroupDef, OutputStep, VarDef, VarKind
     from repro.ffs import PackBuffer

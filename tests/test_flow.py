@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from tests.helpers import run_staging_pipeline
+from tests.helpers import assert_cli_rejects, run_staging_pipeline
 from repro.flow import (
     BufferPool,
     CreditBank,
@@ -529,3 +529,7 @@ def test_undrained_message_includes_queue_and_inflight_bytes():
     # flow enabled: the pressure snapshot is appended
     assert "flow: pools [" in msg
     assert "credits" in msg
+
+
+def test_chaos_cli_rejects_a_non_positive_flow_fraction():
+    assert_cli_rejects("--flow", "chaos", "--flow", "0")

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tests.helpers import assert_cli_rejects
 from repro.check import MultiTenantChecker, digest_value
 from repro.flow import FlowConfig
 from repro.flow.credits import CreditBank
@@ -389,3 +390,8 @@ def test_property_isolation_under_random_tenancy(
     assert isolation_violations(report, cfg) == []
     for res in report.results.values():
         assert res.steps_written == res.spec.nprocs * res.spec.nsteps
+
+
+@pytest.mark.parametrize("command", ["run", "fuzz"])
+def test_jobs_cli_rejects_zero_tenants(command):
+    assert_cli_rejects("--tenants", "jobs", command, "--tenants", "0")

@@ -197,3 +197,79 @@ def test_scheduler_nested_phases():
     assert not sched.in_comm_phase(1)
     with pytest.raises(RuntimeError):
         sched.exit_comm_phase(1)
+
+
+def _after(eng, delay, action):
+    """Process body: run *action* once *delay* sim seconds have passed."""
+    yield eng.timeout(delay)
+    action()
+
+
+def test_scheduler_reentry_at_release_keeps_original_deadline():
+    """A waiter released by ``exit_comm_phase`` whose node re-enters a
+    comm phase in the same instant parks again on its *original*
+    deadline: total deferral is ``max_defer``, not ``max_defer`` plus
+    the time already waited."""
+    eng = Engine()
+    sched = MovementScheduler(eng, max_defer=2.0)
+    sched.enter_comm_phase(0)
+
+    def fetcher():
+        return (yield from sched.wait_clear(0))
+
+    def app():
+        yield eng.timeout(1.0)
+        sched.exit_comm_phase(0)  # releases the waiter ...
+        sched.enter_comm_phase(0)  # ... but the node is busy again
+        yield eng.timeout(5.0)
+        sched.exit_comm_phase(0)
+
+    p = eng.process(fetcher())
+    eng.process(app())
+    eng.run()
+    assert p.value == 2.0
+    assert sched.deferred_fetches == 1
+    assert sched.total_defer_seconds == 2.0
+
+
+def test_scheduler_clear_releases_waiters_in_deadline_seq_order():
+    """Waiters parked at different times leave on clear ordered by
+    ``(deadline, seq)``, not by arrival."""
+    eng = Engine()
+    sched = MovementScheduler(eng)
+    sched.enter_comm_phase(4)
+    released = []
+
+    def fetcher(name, arrive, max_defer):
+        yield eng.timeout(arrive)
+        sched.max_defer = max_defer
+        yield from sched.wait_clear(4)
+        released.append((name, eng.now))
+
+    eng.process(fetcher("a", 0.0, 10.0))  # deadline 10
+    eng.process(fetcher("b", 1.0, 3.0))  # deadline 4, seq before c
+    eng.process(fetcher("c", 2.0, 2.0))  # deadline 4
+    eng.process(_after(eng, 3.0, lambda: sched.exit_comm_phase(4)))
+    eng.run()
+    assert released == [("b", 3.0), ("c", 3.0), ("a", 3.0)]
+
+
+def test_scheduler_reports_forced_and_clear_admissions_to_checker():
+    from repro.check import Checker
+
+    eng = Engine()
+    chk = Checker().bind(eng)
+    sched = MovementScheduler(eng, max_defer=1.5)
+    sched.enter_comm_phase(0)  # never exits: deadline release
+    sched.enter_comm_phase(1)  # exits at t=1: clear release
+
+    def fetcher(node):
+        yield from sched.wait_clear(node)
+
+    eng.process(fetcher(0))
+    eng.process(fetcher(1))
+    eng.process(_after(eng, 1.0, lambda: sched.exit_comm_phase(1)))
+    eng.run()
+    assert sorted(chk.admissions) == [(0, True, True), (1, False, False)]
+    assert chk.forced_admissions == 1
+

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tests.helpers import assert_cli_rejects
 from repro.apps.readers import InTransitAnalysisReader, ParticleTrackingFollower
 from repro.check.stream import StreamChecker
 from repro.dataspaces import DataSpaces, Region
@@ -352,3 +353,8 @@ def test_reader_apps_validate_and_track():
     data = np.arange(12.0).reshape(3, 4)
     follower.on_step(FakeWm(), [(Region((10, 20), (13, 24)), data)])
     assert follower.trajectory == [(7, (12, 23), 11.0)]
+
+
+@pytest.mark.parametrize("steps", ["0", "1"])
+def test_stream_cli_rejects_fewer_than_two_steps(tmp_path, steps):
+    assert_cli_rejects("--steps", "stream", "--steps", steps, "--out", str(tmp_path))
