@@ -48,6 +48,12 @@ from __future__ import annotations
 import argparse
 import sys
 
+#: the commands that accept each optional flag of the experiment CLI
+_FLAG_COMMANDS = {
+    "--trace": ("fig7", "headline", "chaos"),
+    "--flow": ("fig7", "chaos"),
+}
+
 
 def main(argv=None) -> int:
     """Parse arguments and dispatch to the chosen experiment."""
@@ -111,6 +117,12 @@ def main(argv=None) -> int:
              "set (default 0.25)",
     )
     args = parser.parse_args(argv)
+    for flag, accepting in _FLAG_COMMANDS.items():
+        if getattr(args, flag[2:]) is not None and args.command not in accepting:
+            parser.error(
+                f"argument {flag}: only {'/'.join(accepting)} accept it, "
+                f"not {args.command}"
+            )
     trace = None
     if args.trace is not None:
         trace = args.trace or f"{args.command}_trace.json"

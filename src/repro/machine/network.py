@@ -19,11 +19,17 @@ models; to make them *contention-aware*, the byte volume each rank
 contributes is pushed through that rank's NIC pipes, so background
 staging traffic stretches collective time exactly as the paper
 describes (≤6 % main-loop slowdown when movement is well scheduled).
+The ranks that share a node post one *counted* flow per NIC direction
+(``SharedBandwidth.transfer(n, count=ranks_on_node)``): one pipe entry
+and one wakeup per node, with completion times bit-identical to one
+flow per rank (the exception, flows below a pipe's done threshold, is
+described on :class:`~repro.sim.resources.SharedBandwidth`).
 """
 
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from math import ceil, log2
 from typing import Generator, Optional
@@ -323,7 +329,9 @@ class Network:
         The analytic latency part is a plain timeout; the bandwidth part
         is realised by streaming each rank's wire volume through its NIC
         pipes so that concurrent staging traffic causes the slowdown the
-        paper measures.  ``model_nprocs`` prices the collective for a
+        paper measures.  The ranks of one node post a single counted tx
+        and rx flow, ordered by the node's last appearance in
+        *ranks_nodes*.  ``model_nprocs`` prices the collective for a
         larger effective job when the listed nodes are representatives.
         Returns elapsed time.
         """
@@ -337,11 +345,17 @@ class Network:
         wire_bytes = wire_time * cfg.link_bandwidth
         yield self.env.timeout(cfg.latency * ceil(log2(p)))
         if wire_bytes > 0:
+            # Counting over the reversed map keys each node by its last
+            # appearance, when a per-rank loop would arm the node's
+            # surviving pipe wakeup; reversing back keeps same-time
+            # completions in that order.
+            ranks_per_node = Counter(reversed(ranks_nodes))
             events = []
-            for node in ranks_nodes:
+            for node in reversed(ranks_per_node):
                 nic = self.nic(node)
-                events.append(nic.tx.transfer(wire_bytes))
-                events.append(nic.rx.transfer(wire_bytes))
+                count = ranks_per_node[node]
+                events.append(nic.tx.transfer(wire_bytes, count=count))
+                events.append(nic.rx.transfer(wire_bytes, count=count))
             yield self.env.all_of(events)
         return self.env.now - start
 

@@ -21,6 +21,11 @@ model:
     file system's aggregate bandwidth.  Transfer completion times are
     recomputed exactly on every membership change, so the model is a
     precise fluid-flow approximation rather than a per-packet one.
+    A *counted* transfer (``transfer(n, count=k)``) holds *k* equal
+    flows that start together as one entry: one rate update, one
+    wakeup and one completion event instead of *k*, with times
+    bit-identical to *k* separate calls except for flows below the
+    pipe's done threshold (see :class:`SharedBandwidth`).
 """
 
 from __future__ import annotations
@@ -238,14 +243,16 @@ class Mailbox:
 
 
 class _Transfer:
-    __slots__ = ("size", "remaining", "event", "last_update", "weight")
+    """``count`` co-started flows of one size and weight, held as one entry."""
 
-    def __init__(self, size: float, event: Event, now: float, weight: float):
+    __slots__ = ("size", "remaining", "event", "weight", "count")
+
+    def __init__(self, size: float, event: Event, weight: float, count: int):
         self.size = float(size)
         self.remaining = float(size)
         self.event = event
-        self.last_update = now
         self.weight = weight
+        self.count = count
 
 
 class SharedBandwidth:
@@ -257,6 +264,19 @@ class SharedBandwidth:
     inject time-varying capacity (e.g. file-system interference):
     it receives the current simulated time and returns a multiplier in
     ``(0, 1]``, sampled at every membership change.
+
+    ``transfer(nbytes, count=k)`` posts *k* flows of equal size and
+    weight that start together (one per rank of a node in a
+    collective).  They are held as one entry with one completion event,
+    so the pipe recomputes its rates and arms its wakeup once instead of
+    *k* times.  Each member progresses at ``rate * weight / total_w``
+    with ``total_w = sum(weight * count)``; when that sum is exact
+    (integer weights, as on NIC pipes, or ``count == 1``), every rate,
+    residual and completion time is bit-identical to *k* separate calls
+    made at the same instant.  The exception is a flow smaller than the
+    pipe's done threshold (``rate * 1e-12`` bytes): *k* separate calls
+    finish it when the next member joins, a counted flow at the next
+    wakeup.
     """
 
     def __init__(
@@ -272,14 +292,16 @@ class SharedBandwidth:
         self.rate = float(rate)
         self.degradation = degradation
         self._active: list[_Transfer] = []
+        #: time up to which every active transfer's residual is accounted
+        self._last_update = env.now
         self._wakeup: Optional[Event] = None
-        self._busy_until = 0.0
         self._bytes_moved = 0.0
 
     # -- public ----------------------------------------------------------
     @property
     def active_transfers(self) -> int:
-        return len(self._active)
+        """Flows in progress (a counted transfer counts each member)."""
+        return sum(t.count for t in self._active)
 
     @property
     def bytes_moved(self) -> float:
@@ -293,24 +315,32 @@ class SharedBandwidth:
             raise SimulationError(f"degradation multiplier {mult} outside (0,1]")
         return self.rate * mult
 
-    def transfer(self, nbytes: float, *, weight: float = 1.0) -> Event:
-        """Begin moving *nbytes*; event fires at completion."""
+    def transfer(
+        self, nbytes: float, *, weight: float = 1.0, count: int = 1
+    ) -> Event:
+        """Begin moving *nbytes* in each of *count* flows.
+
+        The event fires when they complete (all members finish together).
+        """
         if nbytes < 0:
             raise ValueError("transfer size must be non-negative")
         if weight <= 0:
             raise ValueError("weight must be positive")
+        if type(count) is not int or count < 1:
+            raise ValueError(f"count must be a positive int, got {count!r}")
         done = self.env.event()
         if nbytes == 0:
             done.succeed(0.0)
             return done
         self._advance()
-        self._active.append(_Transfer(nbytes, done, self.env.now, weight))
+        self._active.append(_Transfer(nbytes, done, weight, count))
         self._reschedule()
         return done
 
     # -- internals ---------------------------------------------------------
     def _per_transfer_rates(self) -> list[float]:
-        total_w = sum(t.weight for t in self._active)
+        """Rate of one member of each entry."""
+        total_w = sum(t.weight * t.count for t in self._active)
         rate = self.effective_rate()
         return [rate * t.weight / total_w for t in self._active]
 
@@ -322,24 +352,25 @@ class SharedBandwidth:
     def _advance(self) -> None:
         """Account progress of all active transfers up to `now`."""
         now = self.env.now
+        dt = now - self._last_update
+        self._last_update = now
         if not self._active:
             return
         rates = self._per_transfer_rates()
-        done_idx = []
-        for i, (t, r) in enumerate(zip(self._active, rates)):
-            dt = now - t.last_update
+        finished: list[_Transfer] = []
+        kept: list[_Transfer] = []
+        for t, r in zip(self._active, rates):
             if dt > 0:
                 t.remaining = max(0.0, t.remaining - r * dt)
-            t.last_update = now
             if t.remaining <= r * self._EPS_SECONDS:
-                done_idx.append(i)
-        if done_idx:
-            finished = [self._active[i] for i in done_idx]
-            self._active = [
-                t for i, t in enumerate(self._active) if i not in set(done_idx)
-            ]
+                finished.append(t)
+            else:
+                kept.append(t)
+        if finished:
+            self._active = kept
             for t in finished:
-                self._bytes_moved += t.size
+                for _ in range(t.count):  # summed as separate flows would be
+                    self._bytes_moved += t.size
                 t.event.succeed(now)
 
     def _reschedule(self) -> None:

@@ -1,5 +1,7 @@
 """Tests: custom chunk ordering (§IV.C) and network model details."""
 
+from math import ceil, log2
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from repro.core import PreDatA, PreDatAOperator
 from repro.core.staging import StagingConfig
 from repro.machine import Machine, Network, NetworkConfig, TESTING_TINY, TorusTopology
 from repro.mpi import World
-from repro.sim import Engine
+from repro.sim import Engine, SharedBandwidth
 
 
 # ---------------------------------------------------- chunk ordering
@@ -156,3 +158,110 @@ def test_network_config_validation():
         NetworkConfig(latency=-1.0)
     with pytest.raises(ValueError):
         NetworkConfig(rdma_setup=-1.0)
+
+
+# ------------------------------------- counted flows in collectives
+def _per_rank_collective(net, kind, ranks_nodes, nbytes):
+    """Reference: one tx and one rx flow per rank, as before counted flows."""
+    p = len(ranks_nodes)
+    start = net.env.now
+    cfg = net.config
+    base = net.collective_time(kind, p, nbytes)
+    wire_time = max(base - cfg.latency * ceil(log2(p)), 0.0)
+    wire_bytes = wire_time * cfg.link_bandwidth
+    yield net.env.timeout(cfg.latency * ceil(log2(p)))
+    events = []
+    for node in ranks_nodes:
+        nic = net.nic(node)
+        events.append(nic.tx.transfer(wire_bytes))
+        events.append(nic.rx.transfer(wire_bytes))
+    yield net.env.all_of(events)
+    return net.env.now - start
+
+
+def _interleaved_collective_run(collective, ranks_nodes):
+    """Allreduce over ranks on *ranks_nodes* while a point-to-point
+    transfer out of node 0 joins mid-flight.
+
+    Returns ``(end time, total_bytes, pipe completion pops)``; each pop
+    is ``(pipe label, time)``, with a pipe's same-instant members
+    collapsed into one entry.
+    """
+    eng = Engine()
+    net = Network(eng, TorusTopology(8), NetworkConfig())
+    pops = []
+
+    def watch(label, pipe):
+        transfer = pipe.transfer
+
+        def recording(nbytes, **kw):
+            ev = transfer(nbytes, **kw)
+            ev._add_callback(lambda _ev: pops.append((label, eng.now)))
+            return ev
+
+        pipe.transfer = recording
+
+    for node in range(4):
+        nic = net.nic(node)
+        watch(f"tx{node}", nic.tx)
+        watch(f"rx{node}", nic.rx)
+
+    def coll():
+        yield from collective(net, "allreduce", ranks_nodes, 1e6)
+        return eng.now
+
+    def p2p():
+        yield eng.timeout(1e-4)
+        yield from net.transfer(0, 3, 1e6)
+
+    proc = eng.process(coll())
+    eng.process(p2p())
+    eng.run()
+    collapsed = [pop for i, pop in enumerate(pops) if i == 0 or pops[i - 1] != pop]
+    return proc.value, net.total_bytes(), collapsed
+
+
+def test_contended_collective_posts_one_counted_flow_per_node(monkeypatch):
+    eng = Engine()
+    net = Network(eng, TorusTopology(8), NetworkConfig())
+    calls = []
+    transfer = SharedBandwidth.transfer
+
+    def counting(self, nbytes, **kw):
+        calls.append((self, kw.get("count", 1)))
+        return transfer(self, nbytes, **kw)
+
+    monkeypatch.setattr(SharedBandwidth, "transfer", counting)
+    ranks_nodes = [0, 1, 0, 2, 1, 0, 3]
+
+    def body():
+        yield from net.contended_collective("allreduce", ranks_nodes, 1e6)
+
+    eng.process(body())
+    eng.run()
+    expected = {}
+    for node, k in ((0, 3), (1, 2), (2, 1), (3, 1)):
+        expected[id(net.nic(node).tx)] = k
+        expected[id(net.nic(node).rx)] = k
+    assert len(calls) == 8
+    assert {id(pipe): k for pipe, k in calls} == expected
+
+
+#: the collective's end time on both maps below, recorded with the
+#: per-rank flow loop; any change to the pipe's float arithmetic moves it
+PER_RANK_END = "0.0007012500000000002"
+
+
+# [0, 1, 2, 1, 0]: nodes 0 and 1 finish at one instant and their first
+# and last appearances come in opposite orders, so the pop order shows
+# which one the counted flows follow.
+@pytest.mark.parametrize("ranks_nodes", [[0, 1, 0, 2, 1], [0, 1, 2, 1, 0]])
+def test_counted_collective_matches_per_rank_flows_under_contention(ranks_nodes):
+    counted = _interleaved_collective_run(Network.contended_collective, ranks_nodes)
+    reference = _interleaved_collective_run(_per_rank_collective, ranks_nodes)
+    assert counted == reference
+    end, total, pops = counted
+    # the p2p flow shared node 0's tx pipe with the collective
+    assert [label for label, _ in pops].count("tx0") == 2
+    assert total == 1e6
+    assert repr(end) == PER_RANK_END

@@ -533,3 +533,8 @@ def test_undrained_message_includes_queue_and_inflight_bytes():
 
 def test_chaos_cli_rejects_a_non_positive_flow_fraction():
     assert_cli_rejects("--flow", "chaos", "--flow", "0")
+
+
+@pytest.mark.parametrize("command", ["fig9", "headline"])
+def test_cli_rejects_flow_outside_fig7_and_chaos(command):
+    assert_cli_rejects("--flow", command, "--flow", "0.5")

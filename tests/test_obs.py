@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from tests.helpers import run_staging_pipeline
+from tests.helpers import assert_cli_rejects, run_staging_pipeline
 from repro.obs import HistogramStat, MetricsRegistry, Observability, Tracer
 from repro.operators import SampleSortOperator
 from repro.sim import Engine
@@ -185,3 +185,8 @@ def test_instrumented_run_matches_uninstrumented_timings():
             np.atleast_2d(predata_a.service.result(op_a.name, 0, r)),
             np.atleast_2d(predata_b.service.result(op_b.name, 0, r)),
         )
+
+
+@pytest.mark.parametrize("command", ["fig10", "run-all"])
+def test_cli_rejects_trace_outside_fig7_headline_and_chaos(command):
+    assert_cli_rejects("--trace", command, "--trace", "x.json")

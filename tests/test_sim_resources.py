@@ -326,3 +326,72 @@ def test_invalid_transfer_args():
         pipe.transfer(10.0, weight=0.0)
     with pytest.raises(ValueError):
         SharedBandwidth(eng, rate=0.0)
+
+
+def _co_started_flows(counted, k, *, weight=1.0, degradation=None):
+    """k equal flows posted at t=0.25, as one counted transfer or k calls.
+
+    A background flow runs from t=0 and another joins mid-flight at
+    t=0.6.  Returns every flow's completion time, the bytes moved and
+    ``active_transfers`` sampled while all of them are in the pipe.
+    """
+    eng = Engine()
+    pipe = SharedBandwidth(eng, rate=1100.0, degradation=degradation)
+    times = {}
+    active = []
+
+    def flow(name, start, size, w=1.0):
+        yield eng.timeout(start)
+        yield pipe.transfer(size, weight=w)
+        times[name] = eng.now
+
+    def group():
+        yield eng.timeout(0.25)
+        if counted:
+            done = pipe.transfer(333.3, weight=weight, count=k)
+            yield done
+            ends = [done.value] * k
+        else:
+            members = [pipe.transfer(333.3, weight=weight) for _ in range(k)]
+            yield eng.all_of(members)
+            ends = [ev.value for ev in members]
+        times.update((f"m{i}", end) for i, end in enumerate(ends))
+
+    def sample():
+        yield eng.timeout(0.62)
+        active.append(pipe.active_transfers)
+
+    eng.process(flow("bg", 0.0, 1234.5))
+    eng.process(group())
+    eng.process(flow("late", 0.6, 98.7, 0.5))
+    eng.process(sample())
+    eng.run()
+    return times, pipe.bytes_moved, active
+
+
+def _halved_after_half_second(now):
+    return 0.5 if now >= 0.5 else 1.0
+
+
+@pytest.mark.parametrize(
+    "weight, degradation",
+    [(1.0, None), (3.0, None), (1.0, _halved_after_half_second)],
+    ids=["plain", "weight-3", "degraded"],
+)
+@pytest.mark.parametrize("k", [1, 4])
+def test_counted_transfer_equals_separate_calls(k, weight, degradation):
+    counted = _co_started_flows(True, k, weight=weight, degradation=degradation)
+    separate = _co_started_flows(False, k, weight=weight, degradation=degradation)
+    # exact: the counted entry must reproduce every float of k flows
+    assert counted == separate
+    times, moved, active = counted
+    assert len(times) == k + 2
+    assert moved == pytest.approx(1234.5 + 333.3 * k + 98.7)
+    assert active == [k + 2]
+
+
+@pytest.mark.parametrize("count", [0, -2, 1.0, 2.5, True, "3"])
+def test_transfer_count_must_be_a_positive_int(count):
+    pipe = SharedBandwidth(Engine(), rate=100.0)
+    with pytest.raises(ValueError, match="count"):
+        pipe.transfer(10.0, count=count)
